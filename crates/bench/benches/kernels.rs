@@ -13,20 +13,16 @@
 //! * f32 dot products: ≥2× when AVX2 codegen is on (the workspace default
 //!   via `.cargo/config.toml`), ≥1× otherwise;
 //! * Levenshtein (Myers bit-parallel) and quantile EMD: ≥1.5× on every
-//!   ISA — word-level parallelism and f64 add/abs need nothing exotic;
-//! * MinHash signatures: **parity floor (≥0.9×)**. Measurement on this
-//!   kernel produced a negative result worth recording: the permutation
-//!   sweep is `u64`-multiply-throughput-bound, and the "scalar" reference's
-//!   inner loop (independent slots per item) is itself vectorizable, so
-//!   both layouts saturate the multiplier and tie — even under AVX-512.
-//!   The chunked layout is kept for the batched `signature_many` ingest
-//!   API and register-resident accumulators; the guard pins that it never
-//!   *loses* to the original.
+//!   ISA — word-level parallelism and f64 add/abs need nothing exotic.
 //!
-//! Ratios for the remaining kernel pairs (signature Jaccard, Jaro-Winkler,
-//! token Jaccard, batched cosine) are measured and printed for trend
-//! visibility but not gated — their shapes are small enough that a floor
-//! would mostly measure the allocator and the branch predictor.
+//! Ratios for the remaining kernel pairs (token Jaccard, batched cosine)
+//! are measured and printed for trend visibility but not gated — their
+//! shapes are small enough that a floor would mostly measure the allocator
+//! and the branch predictor.
+//!
+//! A pair whose optimized side stops paying is retired, not kept at a
+//! parity floor: MinHash signatures, MinHash Jaccard and Jaro-Winkler each
+//! went back to one implementation (DESIGN.md §15 lists the ratios).
 //!
 //! Run with `cargo bench -p valentine-bench --bench kernels`; `--quick`
 //! shrinks repetitions for CI smoke runs. Timings take the *minimum* over
@@ -36,11 +32,8 @@
 use std::time::{Duration, Instant};
 
 use valentine_embeddings::{cosine_many, cosine_scalar, dot, dot_scalar};
-use valentine_solver::{emd_1d_quantiles, emd_1d_quantiles_scalar, MinHasher};
-use valentine_text::{
-    jaccard_tokens, jaccard_tokens_scalar, jaro_winkler, jaro_winkler_scalar, levenshtein,
-    levenshtein_scalar,
-};
+use valentine_solver::{emd_1d_quantiles, emd_1d_quantiles_scalar};
+use valentine_text::{jaccard_tokens, jaccard_tokens_scalar, levenshtein, levenshtein_scalar};
 
 /// Deterministic pseudo-random stream (SplitMix64) so both sides of every
 /// comparison see identical inputs on every run and machine.
@@ -98,7 +91,6 @@ fn main() {
     // Floors (see module docs). `cfg!(target_feature)` reflects the actual
     // codegen settings, so overriding the workspace's `-C target-cpu` to a
     // pre-AVX2 baseline relaxes the dot floor instead of failing it.
-    let floor_minhash = 0.9;
     let floor_dot = if cfg!(target_feature = "avx2") {
         2.0
     } else {
@@ -107,29 +99,6 @@ fn main() {
     let floor_string = 1.5;
     let floor_emd = 1.5;
     let mut rng = Rng(0xBEEF);
-
-    // MinHash signatures: an ingest-sized column (2 000 distinct values,
-    // 128 permutations — the workspace default k).
-    let hasher = MinHasher::new(128, 7);
-    let values: Vec<String> = (0..2_000).map(|_| rng.ascii_word(12)).collect();
-    let minhash = speedup(
-        "minhash-signature",
-        reps,
-        if quick { 20 } else { 60 },
-        &mut || hasher.signature_scalar(&values),
-        &mut || hasher.signature(&values),
-    );
-
-    // Signature Jaccard: re-rank-shaped, many short comparisons.
-    let sig_a = hasher.signature(&values);
-    let sig_b = hasher.signature(values.iter().skip(500));
-    let jaccard = speedup(
-        "minhash-jaccard",
-        reps,
-        if quick { 2_000 } else { 20_000 },
-        &mut || hasher.jaccard_scalar(&sig_a, &sig_b),
-        &mut || hasher.jaccard(&sig_a, &sig_b),
-    );
 
     // Quantile EMD: distribution-sketch shape, batched to a timeable size.
     let qa: Vec<f64> = (0..1_024)
@@ -216,30 +185,7 @@ fn main() {
         },
     );
 
-    // Jaro-Winkler and token Jaccard: printed for visibility, not gated.
-    let jw = speedup(
-        "jaro-winkler",
-        reps,
-        if quick { 20 } else { 200 },
-        &mut || {
-            let mut acc = 0.0f64;
-            for a in &words {
-                for b in &words {
-                    acc += jaro_winkler_scalar(a, b);
-                }
-            }
-            acc
-        },
-        &mut || {
-            let mut acc = 0.0f64;
-            for a in &words {
-                for b in &words {
-                    acc += jaro_winkler(a, b);
-                }
-            }
-            acc
-        },
-    );
+    // Token Jaccard: printed for visibility, not gated.
     let token_sets: Vec<Vec<String>> = (0..32)
         .map(|_| (0..12).map(|_| rng.ascii_word(8)).collect())
         .collect();
@@ -267,16 +213,9 @@ fn main() {
         },
     );
 
-    println!(
-        "ungated ratios: jaccard {jaccard:.2}x, cosine-many {cosine_batch:.2}x, \
-         jaro-winkler {jw:.2}x, jaccard-tokens {jt:.2}x"
-    );
+    println!("ungated ratios: cosine-many {cosine_batch:.2}x, jaccard-tokens {jt:.2}x");
 
     // The floors.
-    assert!(
-        minhash >= floor_minhash,
-        "minhash signature kernel regressed: {minhash:.2}x < {floor_minhash}x floor"
-    );
     assert!(
         dot_ratio >= floor_dot,
         "dot kernel regressed: {dot_ratio:.2}x < {floor_dot}x floor"
@@ -290,8 +229,7 @@ fn main() {
         "emd kernel regressed: {emd:.2}x < {floor_emd}x floor"
     );
     println!(
-        "kernel guard passed: minhash {minhash:.2}x (floor {floor_minhash}x), \
-         dot {dot_ratio:.2}x (floor {floor_dot}x), levenshtein {lev:.2}x (floor {floor_string}x), \
-         emd {emd:.2}x (floor {floor_emd}x)"
+        "kernel guard passed: dot {dot_ratio:.2}x (floor {floor_dot}x), \
+         levenshtein {lev:.2}x (floor {floor_string}x), emd {emd:.2}x (floor {floor_emd}x)"
     );
 }

@@ -49,6 +49,11 @@ pub mod metrics {
 /// the call was skipped under a fired cancel token).
 type RerankSlot = (f64, Vec<ColumnMatch>, Option<u64>);
 
+/// One shortlist entry: the candidate table, for joinable search the
+/// candidate column's profile (`None` stands for the whole table), and the
+/// stage-1 sketch score.
+type Candidate<'a> = (u32, Option<&'a ColumnProfile>, f64);
+
 /// Search-time options.
 #[derive(Debug, Clone)]
 pub struct SearchOptions {
@@ -202,20 +207,12 @@ impl Index {
         let (results, snapshot) = valentine_obs::capture(|| {
             let candidates = self.candidate_tables(query);
             valentine_obs::counter(metrics::LSH_CANDIDATES, candidates.len() as u64);
-
-            let cap = opts.candidate_cap.max(k);
-            let shortlist: Vec<(u32, f64)> = candidates.into_iter().take(cap).collect();
-
-            let mut results = match opts.rerank {
-                None => shortlist
-                    .into_iter()
-                    .map(|(id, sketch)| self.result_for(id, None, sketch, sketch, Vec::new()))
-                    .collect(),
-                Some(kind) => self.rerank_unionable(query, &shortlist, kind, opts.threads),
-            };
-            rank(&mut results);
-            results.truncate(k);
-            results
+            let shortlist: Vec<Candidate> = candidates
+                .into_iter()
+                .take(opts.candidate_cap.max(k))
+                .map(|(id, sketch)| (id, None, sketch))
+                .collect();
+            self.rank_shortlist(query, &shortlist, k, opts)
         });
         let mut stats = SearchStats::from_snapshot(&snapshot, query.width());
         stats.degraded = self.is_degraded();
@@ -224,7 +221,9 @@ impl Index {
 
     /// Top-k joinable-column search: which indexed columns could this
     /// column join against? Candidates are individual column profiles;
-    /// re-ranking runs the matcher on the single-column projections.
+    /// re-ranking runs the matcher on the single-column projections (for a
+    /// one-column query the re-rank score is the best correspondence
+    /// score).
     pub fn top_k_joinable(&self, column: &Column, k: usize, opts: &SearchOptions) -> SearchOutcome {
         let (results, snapshot) = valentine_obs::capture(|| {
             if self.is_empty() {
@@ -244,56 +243,15 @@ impl Index {
             scored.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
             drop(lsh);
             valentine_obs::counter(metrics::LSH_CANDIDATES, scored.len() as u64);
-            scored.truncate(opts.candidate_cap.max(k));
-
-            let _rerank = opts.rerank.map(|_| valentine_obs::span!("index/rerank"));
-            let query_table = single_column_table("query", column);
-            let mut results = Vec::with_capacity(scored.len());
-            let matcher = opts.rerank.map(MatcherKind::instantiate);
-            for (pid, sketch) in scored {
-                let profile = &self.profiles()[pid as usize];
-                let owner = self.table(profile.table_id).expect("profile owner exists");
-                let candidate_column = &owner.table.columns()[profile.column_index as usize];
-                let (score, matches) = match &matcher {
-                    None => (sketch, Vec::new()),
-                    Some(_) if valentine_obs::cancel::checkpoint().is_err() => {
-                        // deadline fired mid-shortlist: keep the sketch
-                        // ranking for the remaining candidates
-                        valentine_obs::counter(metrics::MATCHER_SKIPS, 1);
-                        (sketch, Vec::new())
-                    }
-                    Some(m) => {
-                        valentine_obs::counter(metrics::MATCHER_CALLS, 1);
-                        let target = single_column_table(&owner.name, candidate_column);
-                        let call_start = Instant::now();
-                        let outcome = m.match_tables(&query_table, &target);
-                        valentine_obs::observe_duration(
-                            metrics::MATCHER_CALL_NS,
-                            call_start.elapsed(),
-                        );
-                        match outcome {
-                            Ok(result) => {
-                                let top = result.matches().first().map_or(0.0, |cm| cm.score);
-                                (top, result.matches().to_vec())
-                            }
-                            Err(_) => {
-                                valentine_obs::counter(metrics::MATCHER_ERRORS, 1);
-                                (sketch, Vec::new())
-                            }
-                        }
-                    }
-                };
-                results.push(self.result_for(
-                    profile.table_id,
-                    Some(profile.name.clone()),
-                    score,
-                    sketch,
-                    matches,
-                ));
-            }
-            rank(&mut results);
-            results.truncate(k);
-            results
+            let shortlist: Vec<Candidate> = scored
+                .into_iter()
+                .take(opts.candidate_cap.max(k))
+                .map(|(pid, sketch)| {
+                    let profile = &self.profiles()[pid as usize];
+                    (profile.table_id, Some(profile), sketch)
+                })
+                .collect();
+            self.rank_shortlist(&single_column_table("query", column), &shortlist, k, opts)
         });
         let mut stats = SearchStats::from_snapshot(&snapshot, 1);
         stats.degraded = self.is_degraded();
@@ -312,16 +270,38 @@ impl Index {
     ) -> SearchOutcome {
         let (results, snapshot) = valentine_obs::capture(|| {
             valentine_obs::counter(metrics::LSH_CANDIDATES, self.len() as u64);
-            let everyone: Vec<(u32, f64)> = self.tables().iter().map(|t| (t.id, 0.0)).collect();
-            let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-            let mut results = self.rerank_unionable(query, &everyone, kind, threads);
-            rank(&mut results);
-            results.truncate(k);
-            results
+            let everyone: Vec<Candidate> =
+                self.tables().iter().map(|t| (t.id, None, 0.0)).collect();
+            let opts = SearchOptions::with_matcher(kind);
+            self.rank_shortlist(query, &everyone, k, &opts)
         });
         let mut stats = SearchStats::from_snapshot(&snapshot, query.width());
         stats.degraded = self.is_degraded();
         SearchOutcome { results, stats }
+    }
+
+    /// Stage 2 for either search kind: re-rank the shortlist when a matcher
+    /// is configured (sketch scores stand otherwise), then order and cut
+    /// to `k`.
+    fn rank_shortlist(
+        &self,
+        query: &Table,
+        shortlist: &[Candidate],
+        k: usize,
+        opts: &SearchOptions,
+    ) -> Vec<DiscoveryResult> {
+        let mut results = match opts.rerank {
+            None => shortlist
+                .iter()
+                .map(|&(id, column, sketch)| {
+                    self.result_for(id, column, sketch, sketch, Vec::new())
+                })
+                .collect(),
+            Some(kind) => self.rerank(query, shortlist, kind, opts.threads),
+        };
+        rank(&mut results);
+        results.truncate(k);
+        results
     }
 
     /// Runs the matcher over the shortlist in parallel (same worker-pool
@@ -330,6 +310,9 @@ impl Index {
     /// independent of scheduling). Workers tally errors and per-call
     /// latency into the slots; the calling thread emits the obs metrics
     /// after the scope joins, so they land in the enclosing capture frame.
+    /// A whole-table candidate is matched as indexed; a column candidate is
+    /// matched as its single-column projection. Either way the score is
+    /// [`mean_best_per_query_column`].
     ///
     /// Each worker re-installs the caller's cancel token *and* request id
     /// (both are thread-locals that do not follow work across threads) and
@@ -337,11 +320,12 @@ impl Index {
     /// the merged worker snapshots are replayed into the caller's frame
     /// under `index/rerank`, so a request's capture sees the per-matcher
     /// phase tree (`index/rerank/<matcher>/...`) instead of losing it to
-    /// the worker threads.
-    fn rerank_unionable(
+    /// the worker threads. Once the token fires, the remaining candidates
+    /// are skipped and keep their sketch score.
+    fn rerank(
         &self,
         query: &Table,
-        shortlist: &[(u32, f64)],
+        shortlist: &[Candidate],
         kind: MatcherKind,
         threads: usize,
     ) -> Vec<DiscoveryResult> {
@@ -374,12 +358,21 @@ impl Index {
                         if idx >= shortlist.len() {
                             break;
                         }
-                        let (table_id, sketch) = shortlist[idx];
+                        let (table_id, column, sketch) = shortlist[idx];
                         let slot = if token.is_cancelled() {
                             skips.fetch_add(1, Ordering::Relaxed);
                             (sketch, Vec::new(), None)
                         } else {
-                            let target = &self.table(table_id).expect("candidate exists").table;
+                            let owner = self.table(table_id).expect("candidate exists");
+                            let projection;
+                            let target = match column {
+                                None => &owner.table,
+                                Some(p) => {
+                                    let c = &owner.table.columns()[p.column_index as usize];
+                                    projection = single_column_table(&owner.name, c);
+                                    &projection
+                                }
+                            };
                             let call_start = Instant::now();
                             let outcome = matcher_ref.match_tables(query, target);
                             let call_ns = call_start.elapsed().as_nanos() as u64;
@@ -417,12 +410,12 @@ impl Index {
             .into_inner()
             .into_iter()
             .zip(shortlist)
-            .map(|(slot, &(table_id, sketch))| {
+            .map(|(slot, &(table_id, column, sketch))| {
                 let (score, matches, call_ns) = slot.expect("every slot re-ranked");
                 if let Some(call_ns) = call_ns {
                     valentine_obs::observe(metrics::MATCHER_CALL_NS, call_ns);
                 }
-                self.result_for(table_id, None, score, sketch, matches)
+                self.result_for(table_id, column, score, sketch, matches)
             })
             .collect()
     }
@@ -430,7 +423,7 @@ impl Index {
     fn result_for(
         &self,
         table_id: u32,
-        column: Option<String>,
+        column: Option<&ColumnProfile>,
         score: f64,
         sketch_score: f64,
         column_matches: Vec<ColumnMatch>,
@@ -442,7 +435,7 @@ impl Index {
             table_id,
             table_name: t.name.clone(),
             source: t.source.clone(),
-            column,
+            column: column.map(|p| p.name.clone()),
             score,
             sketch_score,
             column_matches,
@@ -555,15 +548,22 @@ mod tests {
             candidate_cap: 3,
             threads: 2,
         };
-        let (outcome, snap) = valentine_obs::capture(|| idx.top_k_unionable(&query, 3, &opts));
-        assert!(outcome.stats.matcher_calls > 0);
-        assert!(snap.spans.contains_key("index/rerank"), "{:?}", snap.spans);
-        assert!(
-            snap.spans.keys().any(|p| p.starts_with("index/rerank/jl/")),
-            "matcher phase spans from the worker threads must be replayed \
-             under index/rerank, got {:?}",
-            snap.spans.keys().collect::<Vec<_>>()
-        );
+        let column = Column::new("key", (50..120).map(Value::Int).collect());
+        let searches: [&dyn Fn() -> SearchOutcome; 2] =
+            [&|| idx.top_k_unionable(&query, 3, &opts), &|| {
+                idx.top_k_joinable(&column, 3, &opts)
+            }];
+        for search in searches {
+            let (outcome, snap) = valentine_obs::capture(search);
+            assert!(outcome.stats.matcher_calls > 0);
+            assert!(snap.spans.contains_key("index/rerank"), "{:?}", snap.spans);
+            assert!(
+                snap.spans.keys().any(|p| p.starts_with("index/rerank/jl/")),
+                "matcher phase spans from the worker threads must be replayed \
+                 under index/rerank, got {:?}",
+                snap.spans.keys().collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]
@@ -643,11 +643,17 @@ mod tests {
             assert!(r.column_matches.is_empty());
         }
 
+        // joinable runs the same two-worker loop: every candidate skipped
         let col = Column::new("key", (50..120).map(Value::Int).collect());
         let out = idx.top_k_joinable(&col, 2, &opts);
         assert_eq!(out.stats.matcher_calls, 0);
-        assert!(out.stats.matcher_skips > 0);
+        assert!(out.stats.matcher_skips >= out.results.len());
         assert!(!out.results.is_empty());
+        for r in &out.results {
+            assert!(r.column.is_some());
+            assert_eq!(r.score, r.sketch_score, "skipped ⇒ sketch fallback");
+            assert!(r.column_matches.is_empty());
+        }
     }
 
     #[test]

@@ -2,10 +2,14 @@
 //! and the global drain.
 //!
 //! Every thread owns a [`LocalSink`] in thread-local storage. Recording a
-//! span, counter, or histogram value touches only that sink — no locks, no
-//! shared cache lines. When the thread exits, its sink folds into a global
-//! snapshot behind a mutex (the only synchronised structure in the crate);
-//! [`drain`] takes the global snapshot plus the calling thread's own sink.
+//! span, counter, or histogram value inside a [`capture`] touches only that
+//! sink — no locks, no shared cache lines. What a thread records outside
+//! any capture lands in its *root*, a snapshot behind a per-thread mutex
+//! that only [`drain`] ever contends for. Roots are listed in a global
+//! registry from their first record, so [`drain`] reaches a thread's data
+//! while the thread is alive, and after it has finished but before its
+//! thread-local destructors ran (a scoped join returns in that window).
+//! On thread exit the root moves into the registry's retired snapshot.
 //!
 //! [`capture`] pushes a *frame* onto the thread's sink: everything the
 //! thread records while the frame is open lands in it; when the capture
@@ -18,7 +22,7 @@
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::hist::Histogram;
@@ -128,45 +132,85 @@ struct Frame {
     data: Snapshot,
 }
 
-/// The per-thread sink: the open-span name stack plus a stack of frames
-/// (frame 0 is the thread root; further frames are open captures).
+/// The per-thread sink: the open-span name stack, the thread root, and the
+/// open capture frames (innermost last).
 struct LocalSink {
     stack: Vec<Cow<'static, str>>,
-    frames: Vec<Frame>,
+    /// Data recorded outside any capture; registered on first use.
+    root: Option<Arc<Mutex<Snapshot>>>,
+    captures: Vec<Frame>,
 }
 
 impl LocalSink {
     fn new() -> LocalSink {
         LocalSink {
             stack: Vec::new(),
-            frames: vec![Frame {
-                base_depth: 0,
-                data: Snapshot::new(),
-            }],
+            root: None,
+            captures: Vec::new(),
+        }
+    }
+
+    /// Span paths are relative to the innermost capture (root: depth 0).
+    fn base_depth(&self) -> usize {
+        self.captures.last().map_or(0, |f| f.base_depth)
+    }
+
+    /// Hands `f` the innermost open frame: the innermost capture, else the
+    /// thread root.
+    fn with_frame(&mut self, f: impl FnOnce(&mut Snapshot)) {
+        match self.captures.last_mut() {
+            Some(frame) => f(&mut frame.data),
+            None => f(&mut lock(self.root.get_or_insert_with(register_root))),
         }
     }
 }
 
 impl Drop for LocalSink {
     fn drop(&mut self) {
-        // Thread exit: fold everything (root frame plus any capture frames
-        // leaked by a panic) into the global snapshot.
-        let mut all = Snapshot::new();
-        for frame in &mut self.frames {
-            all.merge(&std::mem::take(&mut frame.data));
+        // Thread exit: retire the root plus any capture frames leaked by a
+        // panic, under the registry lock so a concurrent drain sees the
+        // data either in the live root or in the retired snapshot.
+        if self.root.is_none() && self.captures.iter().all(|f| f.data.is_empty()) {
+            return;
         }
-        if !all.is_empty() {
-            if let Ok(mut global) = GLOBAL.lock() {
-                global.merge(&all);
-            }
+        let mut registry = lock(&REGISTRY);
+        if let Some(root) = self.root.take() {
+            registry.live.retain(|r| !Arc::ptr_eq(r, &root));
+            let data = std::mem::take(&mut *lock(&root));
+            registry.retired.merge(&data);
+        }
+        for frame in &self.captures {
+            registry.retired.merge(&frame.data);
         }
     }
 }
 
-static GLOBAL: Mutex<Snapshot> = Mutex::new(Snapshot::new());
+/// Every thread root recorded into so far: the live ones, plus the merged
+/// data of threads that have exited since the last [`drain`].
+struct Registry {
+    live: Vec<Arc<Mutex<Snapshot>>>,
+    retired: Snapshot,
+}
+
+static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
+    live: Vec::new(),
+    retired: Snapshot::new(),
+});
 
 thread_local! {
     static LOCAL: RefCell<LocalSink> = RefCell::new(LocalSink::new());
+}
+
+/// Locks, recovering the data of a panicked holder: telemetry is additive,
+/// so a half-applied record is still worth keeping.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn register_root() -> Arc<Mutex<Snapshot>> {
+    let root = Arc::new(Mutex::new(Snapshot::new()));
+    lock(&REGISTRY).live.push(Arc::clone(&root));
+    root
 }
 
 /// True when this thread should record: globally enabled, or inside a
@@ -174,7 +218,7 @@ thread_local! {
 fn active() -> bool {
     crate::is_enabled()
         || LOCAL
-            .try_with(|sink| sink.borrow().frames.len() > 1)
+            .try_with(|sink| !sink.borrow().captures.is_empty())
             .unwrap_or(false)
 }
 
@@ -218,16 +262,10 @@ impl Drop for SpanGuard {
             if sink.stack.is_empty() {
                 return; // guard outlived its sink frame; nothing to attribute
             }
-            let base = sink
-                .frames
-                .last()
-                .map_or(0, |f| f.base_depth)
-                .min(sink.stack.len() - 1);
+            let base = sink.base_depth().min(sink.stack.len() - 1);
             let path = sink.stack[base..].join("/");
             sink.stack.pop();
-            if let Some(frame) = sink.frames.last_mut() {
-                frame.data.record_span(&path, ns);
-            }
+            sink.with_frame(|data| data.record_span(&path, ns));
         });
     }
 }
@@ -238,9 +276,8 @@ pub fn counter(name: &str, delta: u64) {
         return;
     }
     let _ = LOCAL.try_with(|sink| {
-        if let Some(frame) = sink.borrow_mut().frames.last_mut() {
-            frame.data.record_counter(name, delta);
-        }
+        sink.borrow_mut()
+            .with_frame(|data| data.record_counter(name, delta))
     });
 }
 
@@ -250,9 +287,8 @@ pub fn observe(name: &str, value: u64) {
         return;
     }
     let _ = LOCAL.try_with(|sink| {
-        if let Some(frame) = sink.borrow_mut().frames.last_mut() {
-            frame.data.record_hist(name, value);
-        }
+        sink.borrow_mut()
+            .with_frame(|data| data.record_hist(name, value))
     });
 }
 
@@ -267,8 +303,8 @@ pub fn observe_duration(name: &str, duration: Duration) {
 /// stay complete. Span paths in the returned snapshot are relative to the
 /// capture (enclosing span names are stripped).
 ///
-/// Work `f` delegates to *other* threads is merged into the global snapshot
-/// when those threads exit, not into this capture — cross-thread stages
+/// Work `f` delegates to *other* threads lands in those threads' own sinks
+/// (and from there in [`drain`]), not in this capture — cross-thread stages
 /// must aggregate their own totals (the index re-rank stage does exactly
 /// that) and report them on the capturing thread.
 pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Snapshot) {
@@ -288,7 +324,7 @@ fn capture_inner<T>(f: impl FnOnce() -> T, fold_into_parent: bool) -> (T, Snapsh
     LOCAL.with(|sink| {
         let mut sink = sink.borrow_mut();
         let base_depth = sink.stack.len();
-        sink.frames.push(Frame {
+        sink.captures.push(Frame {
             base_depth,
             data: Snapshot::new(),
         });
@@ -296,17 +332,11 @@ fn capture_inner<T>(f: impl FnOnce() -> T, fold_into_parent: bool) -> (T, Snapsh
     let out = f();
     let snap = LOCAL.with(|sink| {
         let mut sink = sink.borrow_mut();
-        if sink.frames.len() > 1 {
-            let frame = sink.frames.pop().expect("capture frame present");
-            if fold_into_parent {
-                if let Some(parent) = sink.frames.last_mut() {
-                    parent.data.merge(&frame.data);
-                }
-            }
-            frame.data
-        } else {
-            Snapshot::new() // frame was stolen by a concurrent drain
+        let frame = sink.captures.pop().expect("capture frames are balanced");
+        if fold_into_parent {
+            sink.with_frame(|parent| parent.merge(&frame.data));
         }
+        frame.data
     });
     (out, snap)
 }
@@ -323,43 +353,39 @@ pub fn emit_under(prefix: &str, snapshot: &Snapshot) {
         return;
     }
     let _ = LOCAL.try_with(|sink| {
-        let mut sink = sink.borrow_mut();
-        let Some(frame) = sink.frames.last_mut() else {
-            return;
-        };
-        for (path, stat) in &snapshot.spans {
-            let full = if prefix.is_empty() {
-                path.clone()
-            } else {
-                format!("{prefix}/{path}")
-            };
-            frame.data.spans.entry(full).or_default().merge(stat);
-        }
-        for (name, value) in &snapshot.counters {
-            *frame.data.counters.entry(name.clone()).or_insert(0) += value;
-        }
-        for (name, hist) in &snapshot.hists {
-            frame
-                .data
-                .hists
-                .entry(name.clone())
-                .or_default()
-                .merge(hist);
-        }
+        sink.borrow_mut().with_frame(|data| {
+            for (path, stat) in &snapshot.spans {
+                let full = if prefix.is_empty() {
+                    path.clone()
+                } else {
+                    format!("{prefix}/{path}")
+                };
+                data.spans.entry(full).or_default().merge(stat);
+            }
+            for (name, value) in &snapshot.counters {
+                *data.counters.entry(name.clone()).or_insert(0) += value;
+            }
+            for (name, hist) in &snapshot.hists {
+                data.hists.entry(name.clone()).or_default().merge(hist);
+            }
+        })
     });
 }
 
-/// Takes and resets the global snapshot merged with the calling thread's
-/// sink. Call between workloads (never inside a [`capture`]) and after all
-/// scoped worker threads joined.
+/// Takes and resets everything recorded so far: every thread's root, the
+/// data of exited threads, and the calling thread's open captures. Call
+/// between workloads (never inside a [`capture`]).
 pub fn drain() -> Snapshot {
-    let mut out = GLOBAL
-        .lock()
-        .map(|mut g| std::mem::take(&mut *g))
-        .unwrap_or_default();
+    let mut out = {
+        let mut registry = lock(&REGISTRY);
+        let mut out = std::mem::take(&mut registry.retired);
+        for root in &registry.live {
+            out.merge(&std::mem::take(&mut *lock(root)));
+        }
+        out
+    };
     let _ = LOCAL.try_with(|sink| {
-        let mut sink = sink.borrow_mut();
-        for frame in &mut sink.frames {
+        for frame in &mut sink.borrow_mut().captures {
             out.merge(&std::mem::take(&mut frame.data));
         }
     });

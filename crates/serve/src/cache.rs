@@ -3,9 +3,9 @@
 //! Discovery workloads repeat: the same query table is probed against the
 //! corpus again and again (interactive exploration, retried requests,
 //! dashboards). A search that cost dozens of matcher calls is worth
-//! remembering, and the index is immutable while the server runs, so a
-//! cached response never goes stale — capacity is the only eviction
-//! reason.
+//! remembering. Each loaded index is immutable, so a cached response stays
+//! valid until `/admin/reload` swaps the index (the server then clears the
+//! cache); short of that, capacity is the only eviction reason.
 //!
 //! Implementation: a `HashMap` from key to slot index plus a doubly-linked
 //! recency list threaded through a slab of slots, so `get` (with

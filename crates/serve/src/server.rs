@@ -153,7 +153,8 @@ impl Default for ServeConfig {
 /// every knob that changes the response body. Each loaded index is
 /// immutable, so equal keys ⇒ equal bodies — and when `/admin/reload`
 /// swaps a *different* index in, the whole cache is cleared rather than
-/// risking stale entries keyed under the old corpus.
+/// risking stale entries keyed under the old corpus (see [`ResultCache`]
+/// for searches still running across the swap).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CacheKey {
     digest: u64,
@@ -163,12 +164,23 @@ struct CacheKey {
     cap: usize,
 }
 
+/// The finished-answer LRU plus the reload epoch it is valid for.
+struct ResultCache {
+    /// Bumped, under this cache's lock, by every successful reload. A
+    /// search remembers the epoch it started in and inserts its answer
+    /// only if no reload happened since: otherwise the answer came from a
+    /// snapshot the reload already replaced, and caching it would undo the
+    /// reload's clear.
+    epoch: u64,
+    lru: Lru<CacheKey, String>,
+}
+
 struct State {
     /// The current index, behind a swappable slot so `/admin/reload` can
     /// publish a replacement while searches hold handles to the old one.
     index: SharedIndex,
     config: ServeConfig,
-    cache: Mutex<Lru<CacheKey, String>>,
+    cache: Mutex<ResultCache>,
     metrics: Mutex<Snapshot>,
     exemplars: Mutex<ExemplarRing>,
     /// Where finished requests are logged as `request` trace lines;
@@ -279,7 +291,10 @@ impl ServerHandle {
         let accept_threads = config.accept_threads.max(1);
         let state = Arc::new(State {
             index: SharedIndex::new(index),
-            cache: Mutex::new(Lru::new(config.cache_capacity)),
+            cache: Mutex::new(ResultCache {
+                epoch: 0,
+                lru: Lru::new(config.cache_capacity),
+            }),
             metrics: Mutex::new(Snapshot::new()),
             exemplars: Mutex::new(ExemplarRing::new(config.exemplar_capacity)),
             request_log: Mutex::new(request_log),
@@ -690,7 +705,11 @@ fn handle_reload(state: &State) -> Result<String, (u16, String)> {
     let degraded = fresh.is_degraded();
     state.note_index_health(&fresh);
     state.index.swap(fresh);
-    state.cache.lock().clear();
+    {
+        let mut cache = state.cache.lock();
+        cache.lru.clear();
+        cache.epoch += 1;
+    }
     state.bump(metrics::RELOADS);
     Ok(Json::Obj(vec![
         ("reloaded".to_string(), Json::Bool(true)),
@@ -749,7 +768,9 @@ fn handle_search(
 
     // One snapshot per request: the digest, the name lookup, and the
     // search itself all see the same index even if a reload swaps the
-    // shared slot mid-request.
+    // shared slot mid-request. The epoch is read first: a reload swaps
+    // before it bumps, so this snapshot is never older than the epoch.
+    let epoch = state.cache.lock().epoch;
     let index = state.index.get();
     let query = query_table(&index, req)?;
     let opts = SearchOptions {
@@ -782,7 +803,7 @@ fn handle_search(
         cap,
     };
 
-    if let Some(body) = state.cache.lock().get(&key) {
+    if let Some(body) = state.cache.lock().lru.get(&key) {
         state.bump(metrics::CACHE_HITS);
         return Ok((
             200,
@@ -840,7 +861,11 @@ fn handle_search(
         // the quarantine era.
         return Ok((200, body, info));
     }
-    if state.cache.lock().insert(key, body.clone()).is_some() {
+    let evicted = {
+        let mut cache = state.cache.lock();
+        cache.epoch == epoch && cache.lru.insert(key, body.clone()).is_some()
+    };
+    if evicted {
         state.bump(metrics::CACHE_EVICTIONS);
     }
     Ok((200, body, info))

@@ -338,6 +338,80 @@ fn admin_reload_swaps_the_index_and_clears_the_cache() {
     server.shutdown();
 }
 
+#[test]
+fn answer_from_a_snapshot_replaced_mid_search_is_not_cached() {
+    // One pool worker: a slow blocker search holds it while the query
+    // under test waits in the queue holding its pre-reload snapshot. The
+    // reload lands before that query runs, so its answer is the old
+    // corpus's and must not reach the cache the reload just cleared.
+    let dir = std::env::temp_dir().join("valentine_serve_reload_race_test");
+    let path = dir.join("corpus.vidx");
+    let post_reload =
+        "POST /admin/reload HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\nConnection: close\r\n\r\n";
+    let blocker = "/search?kind=unionable&k=12&cap=12&table=table_5&method=embdi";
+    let target = "/search?kind=unionable&k=3&table=table_0&method=jl";
+    let mut grown = corpus_index();
+    let mut copy = corpus().table_by_name("table_0").unwrap().table.clone();
+    copy.set_name("table_0_copy");
+    grown.ingest("demo", copy);
+
+    // The ordering rests on the blocker outlasting the reload; an attempt
+    // where it did not is discarded rather than judged.
+    for _attempt in 0..5 {
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        corpus_index().save(&path).unwrap();
+        let server = ServerHandle::start(
+            LoadedIndex::load(&path).unwrap(),
+            ServeConfig {
+                index_path: Some(path.clone()),
+                pool_threads: 1,
+                ..config()
+            },
+        )
+        .unwrap();
+        let addr = server.addr();
+        let misses_reach = |n: u64| {
+            let started = std::time::Instant::now();
+            while server.metrics_snapshot().counter("serve/cache_misses") < n {
+                assert!(started.elapsed() < Duration::from_secs(30), "no miss #{n}");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        };
+
+        let slow = std::thread::spawn(move || get(addr, blocker));
+        misses_reach(1);
+        let stale = std::thread::spawn(move || get(addr, target));
+        misses_reach(2); // snapshot taken, job queued behind the blocker
+        grown.save(&path).unwrap();
+        let (status, _, body) = request(addr, post_reload);
+        assert_eq!(status, 200, "{body}");
+        // The blocker still answering means it still holds the only pool
+        // worker, so the query under test has not run yet.
+        let raced = !slow.is_finished();
+        let (status, _, old_body) = stale.join().unwrap();
+        assert_eq!(status, 200, "{old_body}");
+        let _ = slow.join().unwrap();
+        if !raced {
+            server.shutdown();
+            continue;
+        }
+        assert!(!old_body.contains("table_0_copy"), "{old_body}");
+
+        let (status, head, body) = get(addr, target);
+        assert_eq!(status, 200, "{body}");
+        assert!(
+            head.contains("X-Valentine-Cache: miss"),
+            "repeat answered from the replaced snapshot: {head}"
+        );
+        assert!(body.contains("\"table\":\"table_0_copy\""), "{body}");
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+        return;
+    }
+    panic!("the blocker search never outlasted a reload in 5 attempts");
+}
+
 /// A `Write` handle over a shared byte buffer, standing in for the trace
 /// file `valentine serve --trace` attaches.
 #[derive(Clone)]

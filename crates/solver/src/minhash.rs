@@ -9,27 +9,16 @@
 //!
 //! Signature generation is one of the hot kernels named by `trace report`
 //! (index ingest hashes every distinct value of every column through `k`
-//! permutations). The optimized path hashes all items **once** into a flat
-//! `u64` buffer, then sweeps the permutations in fixed-width chunks of
-//! [`LANES`] independent accumulators updated with branchless `min` — a
-//! shape the autovectorizer turns into packed compare/select with the
-//! per-chunk minima held in registers across the whole item stream, instead
-//! of the reference's `k` load-compare-store round trips per item.
-//!
-//! [`MinHasher::signature_scalar`] retains the original scalar loop nest as
-//! the equivalence baseline: both paths compute exactly the same `u64`
-//! values (`min` is order-insensitive), which the proptest suite and the
-//! `bench/kernels` floor-speedup guard both rely on.
+//! permutations). Each item is hashed once, then one plain loop sweeps the
+//! `k` permutation slots; the slots are independent, so the compiler
+//! vectorizes that loop as it stands. [`MinHasher::signature_many`] reuses
+//! one hash buffer across a batch of sets. Signatures and the Jaccard
+//! estimate have one implementation each: lane-chunked variants measured no
+//! faster than these loops (DESIGN.md §15).
 
 use valentine_table::fxhash::hash_str;
 
-/// Accumulator width of the chunked kernels. Eight `u64` lanes span two
-/// AVX2 (or four SSE2 / NEON) registers, enough to hide the compare/select
-/// latency without spilling.
-const LANES: usize = 8;
-
-/// The xor-multiply permutation mixer (same constant as the original
-/// scalar implementation; both paths must agree bit-for-bit).
+/// The xor-multiply permutation mixer.
 const MIX: u64 = 0xC2B2_AE3D_27D4_EB4F;
 
 /// A MinHash signature generator with `k` fixed permutations.
@@ -70,9 +59,7 @@ impl MinHasher {
     /// the all-`u64::MAX` signature.
     pub fn signature<S: AsRef<str>, I: IntoIterator<Item = S>>(&self, items: I) -> Signature {
         let hashes: Vec<u64> = items.into_iter().map(|s| hash_str(s.as_ref())).collect();
-        let mut sig = vec![u64::MAX; self.seeds.len()];
-        self.signature_into(&hashes, &mut sig);
-        Signature(sig)
+        self.signature_of_hashes(&hashes)
     }
 
     /// Computes one signature per item set, reusing a single hash buffer
@@ -90,67 +77,18 @@ impl MinHasher {
             .map(|set| {
                 hashes.clear();
                 hashes.extend(set.into_iter().map(|s| hash_str(s.as_ref())));
-                let mut sig = vec![u64::MAX; self.seeds.len()];
-                self.signature_into(&hashes, &mut sig);
-                Signature(sig)
+                self.signature_of_hashes(&hashes)
             })
             .collect()
     }
 
-    /// The signature kernel: fills `sig` with the element-wise minimum of
-    /// every permutation over pre-hashed items. `sig.len()` must equal
-    /// [`MinHasher::k`] (checked in debug builds only — this sits on the
-    /// ingest hot path).
-    pub fn signature_into(&self, hashes: &[u64], sig: &mut [u64]) {
-        debug_assert_eq!(sig.len(), self.seeds.len(), "signature length mismatch");
-        sig.fill(u64::MAX);
-        if hashes.is_empty() {
-            return;
-        }
-        let mut seed_chunks = self.seeds.chunks_exact(LANES);
-        let mut sig_chunks = sig.chunks_exact_mut(LANES);
-        for (seeds, slots) in (&mut seed_chunks).zip(&mut sig_chunks) {
-            let mut acc = [u64::MAX; LANES];
-            for &h in hashes {
-                for l in 0..LANES {
-                    let v = (h ^ seeds[l]).wrapping_mul(MIX);
-                    acc[l] = acc[l].min(v);
-                }
-            }
-            slots.copy_from_slice(&acc);
-        }
-        for (slot, &seed) in sig_chunks
-            .into_remainder()
-            .iter_mut()
-            .zip(seed_chunks.remainder())
-        {
-            let mut min = u64::MAX;
-            for &h in hashes {
-                min = min.min((h ^ seed).wrapping_mul(MIX));
-            }
-            *slot = min;
-        }
-    }
-
-    /// Retained scalar reference: the original per-item loop nest that
-    /// re-reads and conditionally rewrites every signature slot per item.
-    /// Kept (and exported) so the proptest equivalence suite and the
-    /// `bench/kernels` guard always have the pre-vectorization baseline to
-    /// compare against. Must not be "optimized" — its job is to stay slow
-    /// and obviously correct.
-    pub fn signature_scalar<S: AsRef<str>, I: IntoIterator<Item = S>>(
-        &self,
-        items: I,
-    ) -> Signature {
+    /// The signature kernel: the element-wise minimum of every permutation
+    /// over pre-hashed items.
+    fn signature_of_hashes(&self, hashes: &[u64]) -> Signature {
         let mut sig = vec![u64::MAX; self.seeds.len()];
-        for item in items {
-            let h = hash_str(item.as_ref());
+        for &h in hashes {
             for (slot, &seed) in sig.iter_mut().zip(&self.seeds) {
-                // xor-multiply mix per permutation
-                let v = (h ^ seed).wrapping_mul(MIX);
-                if v < *slot {
-                    *slot = v;
-                }
+                *slot = (*slot).min((h ^ seed).wrapping_mul(MIX));
             }
         }
         Signature(sig)
@@ -171,40 +109,9 @@ impl MinHasher {
             self.seeds.len(),
             "signature does not match hasher"
         );
-        agreement(&a.0, &b.0) as f64 / self.seeds.len() as f64
-    }
-
-    /// Retained scalar reference for [`MinHasher::jaccard`]: the original
-    /// branchy filter-count. Same contract, checked eagerly.
-    pub fn jaccard_scalar(&self, a: &Signature, b: &Signature) -> f64 {
-        assert_eq!(a.0.len(), b.0.len(), "signatures must have equal length");
-        assert_eq!(
-            a.0.len(),
-            self.seeds.len(),
-            "signature does not match hasher"
-        );
         let agree = a.0.iter().zip(&b.0).filter(|(x, y)| x == y).count();
         agree as f64 / self.seeds.len() as f64
     }
-}
-
-/// Number of agreeing components, accumulated branchlessly in [`LANES`]
-/// independent counters so the comparison loop vectorizes to packed
-/// compare + subtract.
-fn agreement(a: &[u64], b: &[u64]) -> usize {
-    let mut a_chunks = a.chunks_exact(LANES);
-    let mut b_chunks = b.chunks_exact(LANES);
-    let mut acc = [0usize; LANES];
-    for (ca, cb) in (&mut a_chunks).zip(&mut b_chunks) {
-        for l in 0..LANES {
-            acc[l] += (ca[l] == cb[l]) as usize;
-        }
-    }
-    let mut total: usize = acc.iter().sum();
-    for (x, y) in a_chunks.remainder().iter().zip(b_chunks.remainder()) {
-        total += (x == y) as usize;
-    }
-    total
 }
 
 #[cfg(test)]
@@ -262,29 +169,6 @@ mod tests {
         let a = MinHasher::new(64, 1).signature(set(&["p", "q"]));
         let b = MinHasher::new(64, 2).signature(set(&["p", "q"]));
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn optimized_signature_matches_scalar_reference() {
-        // exercise a k that is not a multiple of the lane width, so the
-        // remainder path is covered too
-        for k in [1, 7, 8, 9, 64, 100, 128] {
-            let mh = MinHasher::new(k, 3);
-            let items: Vec<String> = (0..50).map(|i| format!("item{i}")).collect();
-            assert_eq!(mh.signature(&items), mh.signature_scalar(&items), "k={k}");
-            let empty: Vec<String> = Vec::new();
-            assert_eq!(mh.signature(&empty), mh.signature_scalar(&empty));
-        }
-    }
-
-    #[test]
-    fn jaccard_matches_scalar_reference() {
-        for k in [1, 7, 9, 64, 127] {
-            let mh = MinHasher::new(k, 11);
-            let a = mh.signature((0..60).map(|i| format!("v{i}")));
-            let b = mh.signature((30..90).map(|i| format!("v{i}")));
-            assert_eq!(mh.jaccard(&a, &b), mh.jaccard_scalar(&a, &b), "k={k}");
-        }
     }
 
     #[test]

@@ -24,9 +24,8 @@ pub mod tokenize;
 
 pub use noise::{abbreviate, drop_vowels, prefix_with_table, KeyboardTypoModel};
 pub use similarity::{
-    jaccard_tokens, jaccard_tokens_scalar, jaro, jaro_scalar, jaro_winkler, jaro_winkler_scalar,
-    levenshtein, levenshtein_scalar, monge_elkan, monge_elkan_scalar, ngram_dice,
-    normalized_levenshtein,
+    jaccard_tokens, jaccard_tokens_scalar, jaro, jaro_winkler, levenshtein, levenshtein_scalar,
+    monge_elkan, ngram_dice, normalized_levenshtein,
 };
 pub use thesaurus::Thesaurus;
 pub use tokenize::{expand_abbreviation, tokenize_identifier};

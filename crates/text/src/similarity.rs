@@ -18,24 +18,23 @@
 //!   bit-parallel Myers automaton — one word of bitwise ops per text
 //!   character instead of a row of the dynamic program — and longer ASCII
 //!   pairs through a two-row byte DP over reusable thread-local buffers.
-//! * [`jaro`] / [`jaro_winkler`] run the same algorithm as the Unicode
-//!   reference directly on bytes, with the match bookkeeping in
-//!   thread-local scratch instead of three fresh `Vec`s per call.
 //! * [`jaccard_tokens`] sort-merges the (small) token slices via a
 //!   thread-local index buffer instead of building two `HashSet`s per call.
 //!
-//! Non-ASCII input falls back to the retained scalar references
-//! ([`levenshtein_scalar`], [`jaro_scalar`], …), which preserve the original
-//! char-by-char behaviour bit-for-bit; the ASCII paths are exact
-//! re-implementations, asserted equivalent by the proptest suite in
-//! `tests/prop.rs` and speed-guarded by `bench/kernels`.
+//! Non-ASCII input falls back to the retained scalar reference
+//! [`levenshtein_scalar`], which preserves the original char-by-char
+//! behaviour; the fast paths are exact re-implementations, asserted
+//! equivalent by the proptest suite in `tests/prop.rs` and speed-guarded by
+//! `bench/kernels`. [`jaro`] / [`jaro_winkler`] have one char-level
+//! implementation for all input, over the same thread-local scratch; a
+//! separate byte-level ASCII path measured no faster (DESIGN.md §15).
 
 use std::cell::RefCell;
 
 use valentine_table::fxhash::hash_str;
 use valentine_table::FxHashSet;
 
-/// Reusable per-thread buffers for the allocation-free fast paths. One
+/// Reusable per-thread buffers for the allocation-free kernels. One
 /// borrow per public call; no similarity function calls another while the
 /// borrow is live, so the `RefCell` can never be re-entered.
 #[derive(Default)]
@@ -45,11 +44,11 @@ struct Scratch {
     curr: Vec<usize>,
     /// Myers pattern-bitmask table (256 entries, all-zero between calls).
     peq: Vec<u64>,
-    /// Jaro matched-in-`b` flags.
+    /// Jaro inputs as chars, matched-in-`b` flags, and `a`'s matched chars.
+    chars_a: Vec<char>,
+    chars_b: Vec<char>,
     b_used: Vec<bool>,
-    /// Jaro matched character sequences.
-    matches_a: Vec<u8>,
-    matches_b: Vec<u8>,
+    matches_a: Vec<char>,
     /// Sorted distinct token hashes for [`jaccard_tokens`].
     idx_a: Vec<u64>,
     idx_b: Vec<u64>,
@@ -201,77 +200,26 @@ pub fn normalized_levenshtein(a: &str, b: &str) -> f64 {
     1.0 - levenshtein(a, b) as f64 / max_len as f64
 }
 
-/// Jaro similarity in `[0, 1]`. ASCII pairs run allocation-free on bytes;
-/// the result is bit-identical to [`jaro_scalar`].
+/// Jaro similarity in `[0, 1]`, over unicode scalar values. The
+/// bookkeeping lives in thread-local scratch: on identifier-length tokens,
+/// allocating it per call costs about twice the comparison itself.
 pub fn jaro(a: &str, b: &str) -> f64 {
-    if a.is_ascii() && b.is_ascii() {
-        jaro_ascii(a.as_bytes(), b.as_bytes())
-    } else {
-        jaro_scalar(a, b)
-    }
-}
-
-/// Retained scalar reference for [`jaro`]: the original char-vector
-/// implementation, also the live non-ASCII fallback.
-pub fn jaro_scalar(a: &str, b: &str) -> f64 {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let window = (a.len().max(b.len()) / 2).saturating_sub(1);
-    let mut b_used = vec![false; b.len()];
-    let mut matches_a: Vec<char> = Vec::new();
-    for (i, &ca) in a.iter().enumerate() {
-        let lo = i.saturating_sub(window);
-        let hi = (i + window + 1).min(b.len());
-        for j in lo..hi {
-            if !b_used[j] && b[j] == ca {
-                b_used[j] = true;
-                matches_a.push(ca);
-                break;
-            }
-        }
-    }
-    let m = matches_a.len();
-    if m == 0 {
-        return 0.0;
-    }
-    let matches_b: Vec<char> = b
-        .iter()
-        .zip(b_used.iter())
-        .filter(|(_, &u)| u)
-        .map(|(&c, _)| c)
-        .collect();
-    let transpositions = matches_a
-        .iter()
-        .zip(matches_b.iter())
-        .filter(|(x, y)| x != y)
-        .count()
-        / 2;
-    let m = m as f64;
-    (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
-}
-
-/// ASCII Jaro: identical algorithm to the scalar reference, with the match
-/// bookkeeping in thread-local scratch. The counts it produces are the same
-/// integers, so the final arithmetic is bit-for-bit equal.
-fn jaro_ascii(a: &[u8], b: &[u8]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let window = (a.len().max(b.len()) / 2).saturating_sub(1);
     SCRATCH.with(|cell| {
         let s = &mut *cell.borrow_mut();
+        s.chars_a.clear();
+        s.chars_a.extend(a.chars());
+        s.chars_b.clear();
+        s.chars_b.extend(b.chars());
+        let (a, b) = (&s.chars_a, &s.chars_b);
+        if a.is_empty() && b.is_empty() {
+            return 1.0;
+        }
+        if a.is_empty() || b.is_empty() {
+            return 0.0;
+        }
+        let window = (a.len().max(b.len()) / 2).saturating_sub(1);
         let b_used = &mut s.b_used;
         let matches_a = &mut s.matches_a;
-        let matches_b = &mut s.matches_b;
         b_used.clear();
         b_used.resize(b.len(), false);
         matches_a.clear();
@@ -290,16 +238,14 @@ fn jaro_ascii(a: &[u8], b: &[u8]) -> f64 {
         if m == 0 {
             return 0.0;
         }
-        matches_b.clear();
-        matches_b.extend(
-            b.iter()
-                .zip(b_used.iter())
-                .filter(|(_, &u)| u)
-                .map(|(&c, _)| c),
-        );
+        let matches_b = b
+            .iter()
+            .zip(b_used.iter())
+            .filter(|(_, &u)| u)
+            .map(|(c, _)| c);
         let transpositions = matches_a
             .iter()
-            .zip(matches_b.iter())
+            .zip(matches_b)
             .filter(|(x, y)| x != y)
             .count()
             / 2;
@@ -311,15 +257,7 @@ fn jaro_ascii(a: &[u8], b: &[u8]) -> f64 {
 /// Jaro-Winkler similarity: Jaro boosted by common prefix (scaling 0.1,
 /// prefix capped at 4), the standard parameterisation.
 pub fn jaro_winkler(a: &str, b: &str) -> f64 {
-    winkler_boost(jaro(a, b), a, b)
-}
-
-/// Retained scalar reference for [`jaro_winkler`], built on [`jaro_scalar`].
-pub fn jaro_winkler_scalar(a: &str, b: &str) -> f64 {
-    winkler_boost(jaro_scalar(a, b), a, b)
-}
-
-fn winkler_boost(j: f64, a: &str, b: &str) -> f64 {
+    let j = jaro(a, b);
     let prefix = a
         .chars()
         .zip(b.chars())
@@ -415,28 +353,13 @@ fn sorted_distinct_hashes<S: AsRef<str>>(v: &[S], out: &mut Vec<u64>) {
 
 /// Monge-Elkan similarity: for each token in `a`, the best
 /// [`jaro_winkler`] match in `b`, averaged; symmetrised by taking the mean
-/// of both directions. The inner Jaro-Winkler calls take the ASCII
-/// scratch-buffer fast path, which is where the per-call allocations of the
-/// original lived.
+/// of both directions.
 pub fn monge_elkan<S: AsRef<str>>(a: &[S], b: &[S]) -> f64 {
-    monge_elkan_with(a, b, jaro_winkler)
-}
-
-/// Retained scalar reference for [`monge_elkan`], built on
-/// [`jaro_winkler_scalar`].
-pub fn monge_elkan_scalar<S: AsRef<str>>(a: &[S], b: &[S]) -> f64 {
-    monge_elkan_with(a, b, jaro_winkler_scalar)
-}
-
-fn monge_elkan_with<S: AsRef<str>>(a: &[S], b: &[S], sim: fn(&str, &str) -> f64) -> f64 {
-    fn directed<S: AsRef<str>>(a: &[S], b: &[S], sim: fn(&str, &str) -> f64) -> f64 {
-        if a.is_empty() {
-            return 0.0;
-        }
+    fn directed<S: AsRef<str>>(a: &[S], b: &[S]) -> f64 {
         a.iter()
             .map(|ta| {
                 b.iter()
-                    .map(|tb| sim(ta.as_ref(), tb.as_ref()))
+                    .map(|tb| jaro_winkler(ta.as_ref(), tb.as_ref()))
                     .fold(0.0, f64::max)
             })
             .sum::<f64>()
@@ -448,7 +371,7 @@ fn monge_elkan_with<S: AsRef<str>>(a: &[S], b: &[S], sim: fn(&str, &str) -> f64)
     if a.is_empty() || b.is_empty() {
         return 0.0;
     }
-    (directed(a, b, sim) + directed(b, a, sim)) / 2.0
+    (directed(a, b) + directed(b, a)) / 2.0
 }
 
 #[cfg(test)]
@@ -524,25 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn jaro_fast_path_matches_scalar_bit_for_bit() {
-        let cases = [
-            ("", ""),
-            ("a", ""),
-            ("martha", "marhta"),
-            ("dixon", "dicksonx"),
-            ("customer_id", "cust_identifier"),
-            ("prefix_a", "prefix_b"),
-        ];
-        for (a, b) in cases {
-            assert_eq!(jaro(a, b).to_bits(), jaro_scalar(a, b).to_bits());
-            assert_eq!(
-                jaro_winkler(a, b).to_bits(),
-                jaro_winkler_scalar(a, b).to_bits()
-            );
-        }
-    }
-
-    #[test]
     fn jaro_winkler_prefers_shared_prefix() {
         let jw = jaro_winkler("martha", "marhta");
         assert!((jw - 0.9611111111).abs() < 1e-6);
@@ -602,16 +506,6 @@ mod tests {
         let ab = monge_elkan(&["postal", "code"], &["zip"]);
         let ba = monge_elkan(&["zip"], &["postal", "code"]);
         assert!((ab - ba).abs() < 1e-12);
-    }
-
-    #[test]
-    fn monge_elkan_matches_scalar() {
-        let a = ["customer", "id"];
-        let b = ["cust", "identifier"];
-        assert_eq!(
-            monge_elkan(&a, &b).to_bits(),
-            monge_elkan_scalar(&a, &b).to_bits()
-        );
     }
 
     #[test]
